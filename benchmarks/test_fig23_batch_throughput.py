@@ -2,9 +2,10 @@
 
 The paper's executor model is row-at-a-time Volcano iterators; modern MPP
 executors amortize interpretation overhead by pulling one *batch* of rows
-per iterator call.  This benchmark measures what the batch pipeline
-(``batch_size=1024``, the engine default) buys over the row path
-(``batch_size=1``) on the two shapes the executor spends its life in:
+per iterator call.  The executor has one batch pipeline, and this
+benchmark compares two of its widths: what ``batch_size=1024`` (the
+engine default) buys over ``batch_size=1`` (the same pipeline, one row
+per batch) on the two shapes the executor spends its life in:
 
 * **scan+filter** — a full scan of a 12-partition fact table with a
   selective predicate, gathered to the coordinator;
@@ -15,7 +16,7 @@ Reported as input-rows-per-second per workload per batch width.
 
 Assertions: identical rows at both widths, identical deterministic
 counters (partitions/rows scanned, motion rows/bytes — these gate hard in
-CI via ``tools/check_bench_regression.py``), and the batch pipeline must
+CI via ``tools/check_bench_regression.py``), and width 1024 must
 clear 2x on scan+filter and 1.5x on the join (wall-clock bars measured as
 a ratio on the same machine; the absolute timings stay report-only).
 """

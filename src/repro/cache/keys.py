@@ -41,6 +41,12 @@ class StatementKey(NamedTuple):
     optimizer: str
     lowered: bool
 
+    @property
+    def is_select(self) -> bool:
+        """True for a SELECT — the only statement with a cacheable result
+        set.  The fingerprint starts with the statement's keyword."""
+        return self.fingerprint.startswith("select")
+
     def describe(self) -> str:
         """Short human-readable form for logs and the ``\\cache`` view."""
         text = self.fingerprint

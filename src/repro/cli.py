@@ -68,9 +68,10 @@ SET statements configure the session:
   SET workers N;           SET workers off;         parallel segment
                    execution on N worker threads (results identical to
                    serial; off = serial)
-  SET batch_size N;        SET batch_size off;      vectorized batch
-                   width (N >= 1; 1 or off = row-at-a-time; results
-                   identical at any width)
+  SET batch_size N;        SET batch_size off;      batch width of
+                   the execution pipeline (N >= 1 rows per batch; off =
+                   the database default, 1024; results identical at any
+                   width)
   SET cache off|partitions|results;                 statement caching:
                    'partitions' replays partition-selector OID sets for
                    repeat statements, 'results' additionally serves repeat

@@ -76,8 +76,8 @@ class Database:
         #: default segment-scheduler pool size (1 = serial execution);
         #: per-query override via ``sql(..., workers=N)``
         self.workers = workers
-        #: default vectorized batch width (1 = the exact row-at-a-time
-        #: pipeline); per-query override via ``sql(..., batch_size=N)``
+        #: default batch width of the batch pipeline (rows per batch);
+        #: per-query override via ``sql(..., batch_size=N)``
         self.batch_size = batch_size
         self.catalog = Catalog()
         self.storage = StorageManager(self.catalog, num_segments)
@@ -441,10 +441,11 @@ class Database:
         concurrently on a thread pool; results are guaranteed identical
         to a serial run (see docs/parallelism.md).
 
-        ``batch_size`` sets the vectorized batch width for this query
-        (``None`` uses the Database default, normally 1024; ``1`` runs
-        the exact row-at-a-time pipeline).  Results, partition counters
-        and guardrail firing rows are identical at any batch size (see
+        ``batch_size`` sets the batch width for this query (``None``
+        uses the Database default, normally 1024).  There is one
+        pipeline: ``1`` runs it one row per batch, so fault points that
+        fire per batch fire per row.  Results, partition counters and
+        guardrail firing rows are identical at any width (see
         docs/parallelism.md, "Vectorized batch execution").
 
         ``analyze=True`` enables per-node wall-clock timing collection on
@@ -487,7 +488,9 @@ class Database:
                     key = self._statement_key(
                         query, params, optimizer, lower_selectors, options
                     )
-                    if mode == "results":
+                    if mode == "results" and key.is_select:
+                        # DML is never result-cached, so it never probes
+                        # (and never counts a miss)
                         entry = self.cache.lookup_result(key)
                         if entry is not None:
                             activity.enter_phase("cache_hit")

@@ -82,8 +82,8 @@ class ExecContext:
         #: the statement's :class:`~repro.cache.CacheSession` (None = cache
         #: off): PartitionSelector iterators ask it for replay OID sets
         self.cache = cache
-        #: vectorized batch width for this run (1 = row-at-a-time; the
-        #: executor runs the batch pipeline iff > 1)
+        #: batch width for this run: every iterator yields batches of at
+        #: most this many rows
         self.batch_size = batch_size
 
     @property
@@ -164,7 +164,7 @@ class _WorkerView:
 
     Everything delegates to the base context except ``metrics``, which is
     a per-worker accumulator so contended counters never take a lock on
-    the per-row path."""
+    the per-batch path."""
 
     __slots__ = ("_base", "segment", "metrics")
 

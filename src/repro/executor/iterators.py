@@ -1,9 +1,15 @@
-"""Volcano-style iterators for every physical operator.
+"""Volcano-style batch iterators for every physical operator.
 
-:func:`build_iterator` turns a plan subtree into a generator of tuples for
-one segment.  Motion nodes are never executed here — the executor
-pre-materializes their output into per-segment buffers, and this module
-simply reads the buffer (slice-at-a-time execution).
+:func:`build_batches` turns a plan subtree into a generator of row
+batches (lists of tuples, at most ``ctx.batch_size`` rows each) for one
+segment.  It is the executor's only operator dispatcher: ``batch_size=1``
+is the same pipeline at width 1, one row per batch.  Scans slice batches
+straight out of the heap lists, and filters / projections / joins /
+aggregation loop tightly over one batch per Python frame.
+
+Motion nodes are never executed here — the executor pre-materializes
+their output into per-segment buffers, and this module simply reads the
+buffer (slice-at-a-time execution).
 
 The PartitionSelector iterator realises both selection modes uniformly,
 as Section 3.2 requires:
@@ -15,6 +21,18 @@ as Section 3.2 requires:
   tuple selects — dynamic elimination.  The channel closes when the input
   is exhausted, which the engine's left-before-right execution order
   guarantees happens before the consuming DynamicScan opens.
+
+Accounting does not depend on the width: metrics charge ``len(batch)``
+per node, guardrail ticks advance by ``len(batch)``, ``max_rows`` charges
+stop at the same crossing row whatever the batch boundaries, and Limit
+truncates the final batch so downstream operators see the same rows at
+any width.  Fault-injection ``scan_row`` / ``motion_send`` points fire
+once per batch, which at width 1 means once per row.
+
+The one place counters legally depend on the width is a LIMIT that
+abandons its child mid-stream: the child has already produced its
+current batch (up to batch_size - 1 extra rows show in that child's
+``rows_out`` / ``rows_scanned``).  Result rows are identical.
 """
 
 from __future__ import annotations
@@ -35,89 +53,103 @@ from ..expr.eval import RowLayout, compile_expression, compile_predicate
 from ..physical import ops as phys
 from ..physical.properties import PartSelectorSpec
 from ..resilience.faults import CHANNEL_CLOSE, SCAN_ROW
+from ..storage.distribution import segment_for
 from .context import COORDINATOR_SEGMENT, ExecContext
 from .runtime_funcs import partition_expansion, partition_propagation
 
-RowIter = Iterator[tuple]
-#: batch-mode iterator: yields lists of row tuples
+#: yields lists of row tuples
 BatchIter = Iterator[list]
 
-#: extension point: operator type -> iterator factory(op, segment, ctx).
-#: Used by :mod:`repro.executor.lowering` to register the Section 3.2
-#: function-based operators without creating an import cycle.
-EXTRA_ITERATORS: dict[type, Callable[..., RowIter]] = {}
-
-#: batch-mode extension point, same contract but the factory yields row
-#: batches.  An operator registered only in :data:`EXTRA_ITERATORS` still
-#: works in batch mode — its row iterator is re-batched.
+#: extension point: operator type -> batch iterator factory(op, segment,
+#: ctx).  Used by :mod:`repro.executor.lowering` to register the Section
+#: 3.2 function-based operators without creating an import cycle.
 EXTRA_BATCH_ITERATORS: dict[type, Callable[..., BatchIter]] = {}
 
 
-def build_iterator(
+def build_batches(
     op: phys.PhysicalOp, segment: int, ctx: ExecContext
-) -> RowIter:
-    """Instantiate the iterator tree for ``op`` on one segment.
+) -> BatchIter:
+    """Instantiate the iterator tree for ``op`` on one segment, yielding
+    row batches of at most ``ctx.batch_size`` rows.
 
     Every node's iterator is wrapped by the metrics collector: rows out
     and loops are always counted; per-node wall time is accumulated when
     the query runs with ``analyze=True``.  When guardrails are configured
-    the root of each subtree additionally passes every row through the
-    cooperative checkpoint (cancellation, timeout).
+    every batch additionally passes through the cooperative checkpoint
+    (cancellation, timeout), advanced by the batch's row count.
     """
-    inner = ctx.metrics.instrument(op, segment, _raw_iterator(op, segment, ctx))
+    inner = ctx.metrics.instrument_batches(
+        op, segment, _raw_batches(op, segment, ctx)
+    )
     if ctx.limits.active:
-        return _guarded_iter(ctx.limits, inner)
+        return _guarded_batches(ctx.limits, inner)
     return inner
 
 
-def _guarded_iter(limits, inner: RowIter) -> RowIter:
-    tick = limits.tick
-    for row in inner:
-        tick()
-        yield row
+def _guarded_batches(limits, inner: BatchIter) -> BatchIter:
+    tick_rows = limits.tick_rows
+    for batch in inner:
+        tick_rows(len(batch))
+        yield batch
 
 
-def _raw_iterator(
+def _raw_batches(
     op: phys.PhysicalOp, segment: int, ctx: ExecContext
-) -> RowIter:
-    factory = EXTRA_ITERATORS.get(type(op))
+) -> BatchIter:
+    factory = EXTRA_BATCH_ITERATORS.get(type(op))
     if factory is not None:
         return factory(op, segment, ctx)
     if isinstance(op, phys.Motion):
-        return iter(ctx.motion_rows(id(op), segment))
+        return _slice_batches(
+            ctx.motion_rows(id(op), segment), ctx.batch_size
+        )
     if isinstance(op, phys.Scan):
-        return _scan_iter(op, segment, ctx)
+        return _scan_batches(op, segment, ctx)
     if isinstance(op, phys.EmptyScan):
         return iter(())
     if isinstance(op, phys.LeafScan):
-        return _leaf_scan_iter(op, segment, ctx)
+        return _leaf_scan_batches(op, segment, ctx)
     if isinstance(op, phys.DynamicScan):
-        return _dynamic_scan_iter(op, segment, ctx)
+        return _dynamic_scan_batches(op, segment, ctx)
     if isinstance(op, phys.PartitionSelector):
-        return _partition_selector_iter(op, segment, ctx)
+        return _partition_selector_batches(op, segment, ctx)
     if isinstance(op, phys.Sequence):
-        return _sequence_iter(op, segment, ctx)
+        return _sequence_batches(op, segment, ctx)
     if isinstance(op, phys.Filter):
-        return _filter_iter(op, segment, ctx)
+        return _filter_batches(op, segment, ctx)
     if isinstance(op, phys.Project):
-        return _project_iter(op, segment, ctx)
+        return _project_batches(op, segment, ctx)
     if isinstance(op, phys.HashJoin):
-        return _hash_join_iter(op, segment, ctx)
+        return _hash_join_batches(op, segment, ctx)
     if isinstance(op, phys.NLJoin):
-        return _nl_join_iter(op, segment, ctx)
+        return _nl_join_batches(op, segment, ctx)
     if isinstance(op, phys.HashAgg):
-        return _hash_agg_iter(op, segment, ctx)
+        return _hash_agg_batches(op, segment, ctx)
     if isinstance(op, phys.Sort):
-        return _sort_iter(op, segment, ctx)
+        return _sort_batches(op, segment, ctx)
     if isinstance(op, phys.Limit):
-        return _limit_iter(op, segment, ctx)
+        return _limit_batches(op, segment, ctx)
     if isinstance(op, phys.Append):
-        return _append_iter(op, segment, ctx)
+        return _append_batches(op, segment, ctx)
     if isinstance(op, phys.Update):
-        return _update_iter(op, segment, ctx)
+        return _update_batches(op, segment, ctx)
     if isinstance(op, phys.Delete):
-        return _delete_iter(op, segment, ctx)
+        return _delete_batches(op, segment, ctx)
     raise ExecutionError(f"no iterator for operator {op.name}")
+
+
+def _slice_batches(rows: list, batch_size: int) -> BatchIter:
+    """Batches sliced out of an already-materialized row list."""
+    for start in range(0, len(rows), batch_size):
+        yield rows[start : start + batch_size]
+
+
+def _drain(op: phys.PhysicalOp, segment: int, ctx: ExecContext) -> list:
+    """Every row of a child subtree, for operators that materialize."""
+    rows: list[tuple] = []
+    for batch in build_batches(op, segment, ctx):
+        rows.extend(batch)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +157,22 @@ def _raw_iterator(
 # ---------------------------------------------------------------------------
 
 
-def _scan_iter(op: phys.Scan, segment: int, ctx: ExecContext) -> RowIter:
+def _scan_batches(op: phys.Scan, segment: int, ctx: ExecContext) -> BatchIter:
     faults = ctx.faults if ctx.faults.active else None
     count = 0
-    for row in ctx.storage.scan_table(segment, op.table.oid):
+    for batch in ctx.storage.scan_table_batches(
+        segment, op.table.oid, batch_size=ctx.batch_size
+    ):
         if faults is not None:
             faults.maybe_fire(SCAN_ROW, segment)
-        count += 1
-        yield row
+        count += len(batch)
+        yield batch
     ctx.metrics.record_scan_rows(op, op.table, segment, count)
 
 
-def _leaf_scan_iter(op: phys.LeafScan, segment: int, ctx: ExecContext) -> RowIter:
+def _leaf_scan_batches(
+    op: phys.LeafScan, segment: int, ctx: ExecContext
+) -> BatchIter:
     if op.guard_scan_id is not None:
         # Several LeafScans share one guard channel — read, don't consume.
         selected = ctx.channel(op.guard_scan_id, segment).peek()
@@ -145,31 +181,35 @@ def _leaf_scan_iter(op: phys.LeafScan, segment: int, ctx: ExecContext) -> RowIte
     ctx.metrics.record_leaf(op, op.table, op.leaf_oid, segment)
     faults = ctx.faults if ctx.faults.active else None
     count = 0
-    for row in ctx.storage.scan_table(segment, op.table.oid, [op.leaf_oid]):
+    for batch in ctx.storage.scan_table_batches(
+        segment, op.table.oid, [op.leaf_oid], ctx.batch_size
+    ):
         if faults is not None:
             faults.maybe_fire(SCAN_ROW, segment)
-        count += 1
-        yield row
+        count += len(batch)
+        yield batch
     ctx.metrics.record_scan_rows(op, op.table, segment, count)
 
 
-def _dynamic_scan_iter(
+def _dynamic_scan_batches(
     op: phys.DynamicScan, segment: int, ctx: ExecContext
-) -> RowIter:
+) -> BatchIter:
     ctx.metrics.node(op).part_scan_id = op.part_scan_id
     oids = ctx.channel(op.part_scan_id, segment).consume()
     faults = ctx.faults if ctx.faults.active else None
     for oid in oids:
         ctx.metrics.record_leaf(op, op.table, oid, segment)
-        # rows are batched per *leaf* (not per scan) so the live activity
+        # rows are recorded per *leaf* (not per scan) so the live activity
         # registry sees rows-so-far advance while a long scan runs; still
-        # one recording call per partition, never per row
+        # one recording call per partition, never per batch
         count = 0
-        for row in ctx.storage.scan_table(segment, op.table.oid, [oid]):
+        for batch in ctx.storage.scan_table_batches(
+            segment, op.table.oid, [oid], ctx.batch_size
+        ):
             if faults is not None:
                 faults.maybe_fire(SCAN_ROW, segment)
-            count += 1
-            yield row
+            count += len(batch)
+            yield batch
         ctx.metrics.record_scan_rows(op, op.table, segment, count)
 
 
@@ -321,9 +361,9 @@ class _SelectorProgram:
         return cached
 
 
-def _partition_selector_iter(
+def _partition_selector_batches(
     op: phys.PartitionSelector, segment: int, ctx: ExecContext
-) -> RowIter:
+) -> BatchIter:
     spec = op.spec
     channel = ctx.channel(spec.part_scan_id, segment)
     child = op.children[0] if op.children else None
@@ -348,7 +388,7 @@ def _partition_selector_iter(
                 ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
             channel.close()
             if child is not None:
-                yield from build_iterator(child, segment, ctx)
+                yield from build_batches(child, segment, ctx)
             return
 
     child_layout = child.output_layout() if child is not None else None
@@ -373,655 +413,10 @@ def _partition_selector_iter(
             ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
         channel.close()
         if child is not None:
-            yield from build_iterator(child, segment, ctx)
-        return
-
-    # Dynamic selection: apply the selection function per streamed tuple.
-    if child is None:
-        raise ExecutionError(
-            "streaming PartitionSelector requires an input (join predicate "
-            "over no tuples)"
-        )
-    for row in build_iterator(child, segment, ctx):
-        for oid in program.oids_for_row(row):
-            partition_propagation(ctx, spec.part_scan_id, segment, oid)
-        yield row
-    if ctx.faults.active:
-        ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
-    channel.close()
-
-
-def _sequence_iter(op: phys.Sequence, segment: int, ctx: ExecContext) -> RowIter:
-    for child in op.children[:-1]:
-        for _ in build_iterator(child, segment, ctx):
-            pass
-    yield from build_iterator(op.children[-1], segment, ctx)
-
-
-# ---------------------------------------------------------------------------
-# Row operators
-# ---------------------------------------------------------------------------
-
-
-def _filter_iter(op: phys.Filter, segment: int, ctx: ExecContext) -> RowIter:
-    layout = op.children[0].output_layout()
-    predicate = compile_predicate(op.predicate, layout, ctx.params)
-    for row in build_iterator(op.children[0], segment, ctx):
-        if predicate(row):
-            yield row
-
-
-def _project_iter(op: phys.Project, segment: int, ctx: ExecContext) -> RowIter:
-    layout = op.children[0].output_layout()
-    funcs = [
-        compile_expression(expr, layout, ctx.params) for expr, _ in op.items
-    ]
-    for row in build_iterator(op.children[0], segment, ctx):
-        yield tuple(func(row) for func in funcs)
-
-
-def _hash_join_iter(op: phys.HashJoin, segment: int, ctx: ExecContext) -> RowIter:
-    build_layout = op.build.output_layout()
-    probe_layout = op.probe.output_layout()
-    build_fns = [
-        compile_expression(k, build_layout, ctx.params) for k in op.build_keys
-    ]
-    probe_fns = [
-        compile_expression(k, probe_layout, ctx.params) for k in op.probe_keys
-    ]
-    residual = None
-    if op.residual is not None:
-        residual = compile_predicate(
-            op.residual, build_layout.concat(probe_layout), ctx.params
-        )
-
-    charge = ctx.limits.charge_rows if ctx.limits.active else None
-    table: dict[tuple, list[tuple]] = {}
-    for row in build_iterator(op.build, segment, ctx):
-        key = tuple(fn(row) for fn in build_fns)
-        if any(v is None for v in key):
-            continue  # NULL keys never join
-        table.setdefault(key, []).append(row)
-        if charge is not None:
-            charge(1)  # build side is materialized: memory proxy
-
-    semi = op.kind == "semi"
-    for probe_row in build_iterator(op.probe, segment, ctx):
-        key = tuple(fn(probe_row) for fn in probe_fns)
-        if any(v is None for v in key):
-            continue
-        matches = table.get(key)
-        if not matches:
-            continue
-        if semi:
-            if residual is None:
-                yield probe_row
-            else:
-                for build_row in matches:
-                    if residual(build_row + probe_row):
-                        yield probe_row
-                        break
-        else:
-            for build_row in matches:
-                combined = build_row + probe_row
-                if residual is None or residual(combined):
-                    yield combined
-
-
-def _nl_join_iter(op: phys.NLJoin, segment: int, ctx: ExecContext) -> RowIter:
-    outer_rows = list(build_iterator(op.outer, segment, ctx))
-    inner_rows = list(build_iterator(op.inner, segment, ctx))
-    if ctx.limits.active:
-        ctx.limits.charge_rows(len(outer_rows) + len(inner_rows))
-    combined_layout = op.outer.output_layout().concat(op.inner.output_layout())
-    predicate = (
-        compile_predicate(op.predicate, combined_layout, ctx.params)
-        if op.predicate is not None
-        else None
-    )
-    semi = op.kind == "semi"
-    for outer_row in outer_rows:
-        for inner_row in inner_rows:
-            combined = outer_row + inner_row
-            if predicate is None or predicate(combined):
-                if semi:
-                    yield outer_row
-                    break
-                yield combined
-
-
-class _Accumulator:
-    """State of one aggregate within one group."""
-
-    __slots__ = ("func", "count", "total", "best")
-
-    def __init__(self, func: str):
-        self.func = func
-        self.count = 0
-        self.total: Any = None
-        self.best: Any = None
-
-    def add(self, value: Any) -> None:
-        if self.func == "count":
-            # COUNT(expr) skips NULLs; COUNT(*) feeds a sentinel non-NULL.
-            if value is not None:
-                self.count += 1
-            return
-        if value is None:
-            return
-        self.count += 1
-        if self.func in ("sum", "avg"):
-            self.total = value if self.total is None else self.total + value
-        elif self.func == "min":
-            self.best = value if self.best is None else min(self.best, value)
-        elif self.func == "max":
-            self.best = value if self.best is None else max(self.best, value)
-
-    def result(self) -> Any:
-        if self.func == "count":
-            return self.count
-        if self.func == "sum":
-            return self.total
-        if self.func == "avg":
-            if self.count == 0:
-                return None
-            return self.total / self.count
-        return self.best
-
-    # -- two-stage aggregation ---------------------------------------------
-
-    def transition(self) -> Any:
-        """Partial-aggregate state shipped between segments.
-
-        AVG needs both the running sum and the count; the other functions'
-        transition state is their result so far.
-        """
-        if self.func == "avg":
-            return (self.total, self.count)
-        return self.result()
-
-    def combine(self, state: Any) -> None:
-        """Fold another segment's transition state into this accumulator."""
-        if self.func == "count":
-            if state is not None:
-                self.count += state
-            return
-        if self.func == "avg":
-            if state is None:
-                return
-            total, count = state
-            if total is not None:
-                self.total = total if self.total is None else self.total + total
-            self.count += count
-            return
-        if state is None:
-            return
-        if self.func == "sum":
-            self.total = state if self.total is None else self.total + state
-        elif self.func == "min":
-            self.best = state if self.best is None else min(self.best, state)
-        elif self.func == "max":
-            self.best = state if self.best is None else max(self.best, state)
-
-
-def _hash_agg_iter(op: phys.HashAgg, segment: int, ctx: ExecContext) -> RowIter:
-    layout = op.children[0].output_layout()
-    key_fns = [
-        compile_expression(key, layout, ctx.params) for key in op.group_keys
-    ]
-    charge = ctx.limits.charge_rows if ctx.limits.active else None
-    if op.mode == "final":
-        # Input rows are (keys..., transition states...): combine them.
-        key_count = len(op.group_keys)
-        groups: dict[tuple, list[_Accumulator]] = {}
-        for row in build_iterator(op.children[0], segment, ctx):
-            key = row[:key_count]
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [
-                    _Accumulator(agg.func) for agg, _ in op.aggregates
-                ]
-                groups[key] = accumulators
-                if charge is not None:
-                    charge(1)  # one buffered group ≈ one row of state
-            for accumulator, state in zip(accumulators, row[key_count:]):
-                accumulator.combine(state)
-        if not groups and not op.group_keys:
-            if segment == COORDINATOR_SEGMENT:
-                yield tuple(
-                    _Accumulator(agg.func).result()
-                    for agg, _ in op.aggregates
-                )
-            return
-        for key, accumulators in groups.items():
-            yield key + tuple(acc.result() for acc in accumulators)
-        return
-
-    agg_arg_fns: list[Callable[[tuple], Any]] = []
-    for agg, _name in op.aggregates:
-        if agg.arg is None:
-            agg_arg_fns.append(lambda row: 1)  # COUNT(*)
-        else:
-            agg_arg_fns.append(
-                compile_expression(agg.arg, layout, ctx.params)
-            )
-
-    groups = {}
-    for row in build_iterator(op.children[0], segment, ctx):
-        key = tuple(fn(row) for fn in key_fns)
-        accumulators = groups.get(key)
-        if accumulators is None:
-            accumulators = [
-                _Accumulator(agg.func) for agg, _ in op.aggregates
-            ]
-            groups[key] = accumulators
-            if charge is not None:
-                charge(1)  # one buffered group ≈ one row of state
-        for accumulator, arg_fn in zip(accumulators, agg_arg_fns):
-            accumulator.add(arg_fn(row))
-
-    if op.mode == "partial":
-        # Emit per-segment transition rows; a scalar partial emits one row
-        # per segment even on empty input so the final stage always has
-        # states to combine.
-        if not groups and not op.group_keys:
-            yield tuple(
-                _Accumulator(agg.func).transition()
-                for agg, _ in op.aggregates
-            )
-            return
-        for key, accumulators in groups.items():
-            yield key + tuple(acc.transition() for acc in accumulators)
-        return
-
-    if not groups and not op.group_keys:
-        # Scalar aggregation over empty input yields one row; the child is
-        # always gathered to the coordinator, so emit there only.
-        if segment == COORDINATOR_SEGMENT:
-            yield tuple(
-                _Accumulator(agg.func).result() for agg, _ in op.aggregates
-            )
-        return
-    for key, accumulators in groups.items():
-        yield key + tuple(acc.result() for acc in accumulators)
-
-
-def _sort_key(keys_asc: list[bool]):
-    """Sort key with SQL NULL placement: NULLs last ascending, first
-    descending (PostgreSQL default)."""
-
-    class _Wrapped:
-        __slots__ = ("values",)
-
-        def __init__(self, values):
-            self.values = values
-
-        def __lt__(self, other: "_Wrapped") -> bool:
-            for (a, b), ascending in zip(
-                zip(self.values, other.values), keys_asc
-            ):
-                if a == b:
-                    continue
-                if a is None:
-                    return not ascending
-                if b is None:
-                    return ascending
-                return (a < b) if ascending else (b < a)
-            return False
-
-    return _Wrapped
-
-
-def _sort_iter(op: phys.Sort, segment: int, ctx: ExecContext) -> RowIter:
-    layout = op.children[0].output_layout()
-    key_fns = [
-        compile_expression(expr, layout, ctx.params) for expr, _ in op.keys
-    ]
-    ascending = [asc for _, asc in op.keys]
-    wrapper = _sort_key(ascending)
-    rows = list(build_iterator(op.children[0], segment, ctx))
-    if ctx.limits.active:
-        ctx.limits.charge_rows(len(rows))
-    rows.sort(key=lambda row: wrapper([fn(row) for fn in key_fns]))
-    yield from rows
-
-
-def _limit_iter(op: phys.Limit, segment: int, ctx: ExecContext) -> RowIter:
-    remaining = op.count
-    if remaining <= 0:
-        return
-    for row in build_iterator(op.children[0], segment, ctx):
-        yield row
-        remaining -= 1
-        if remaining == 0:
-            return
-
-
-def _append_iter(op: phys.Append, segment: int, ctx: ExecContext) -> RowIter:
-    for child in op.children:
-        yield from build_iterator(child, segment, ctx)
-
-
-def _update_iter(op: phys.Update, segment: int, ctx: ExecContext) -> RowIter:
-    child = op.children[0]
-    layout = child.output_layout()
-    target = op.target
-    alias = op.target_alias
-    old_indices = [
-        layout.resolve(ColumnRef(name, alias))
-        for name in target.schema.column_names
-    ]
-    assignment_fns = {
-        column: compile_expression(expr, layout, ctx.params)
-        for column, expr in op.assignments
-    }
-    column_names = target.schema.column_names
-
-    updates: list[tuple[tuple, tuple]] = []
-    for row in build_iterator(child, segment, ctx):
-        old_row = tuple(row[i] for i in old_indices)
-        new_values = []
-        for i, name in enumerate(column_names):
-            fn = assignment_fns.get(name)
-            new_values.append(fn(row) if fn is not None else old_row[i])
-        updates.append((old_row, tuple(new_values)))
-
-    if segment != COORDINATOR_SEGMENT:
-        # The child stream is gathered; only the coordinator applies.
-        if updates:
-            raise ExecutionError(
-                "Update received rows on a non-coordinator segment"
-            )
-        return
-
-    store = ctx.storage.store(target.oid)
-    _apply_updates(store, target, updates, ctx)
-    yield (len(updates),)
-
-
-def _apply_updates(store, target: TableDescriptor, updates, ctx: ExecContext):
-    """Delete-then-insert: re-routes rows whose partition key or
-    distribution key changed."""
-    from ..storage.distribution import segment_for
-
-    deletions: dict[tuple[int, int], list[tuple]] = {}
-    for old_row, _ in updates:
-        if target.is_partitioned:
-            leaf = target.route_row(old_row)
-            assert leaf is not None
-            oid = target.leaf_oid(leaf)
-        else:
-            oid = target.oid
-        dist = target.distribution
-        if dist.kind == "replicated":
-            segments = range(ctx.num_segments)
-        else:
-            col_idx = target.schema.column_index(dist.column)  # type: ignore[arg-type]
-            segments = [segment_for(old_row[col_idx], ctx.num_segments)]
-        for seg in segments:
-            deletions.setdefault((seg, oid), []).append(old_row)
-    for (seg, oid), rows in deletions.items():
-        store.delete_from_leaf(seg, oid, rows)
-    for _, new_row in updates:
-        store.insert(new_row)
-
-
-def _delete_iter(op: phys.Delete, segment: int, ctx: ExecContext) -> RowIter:
-    child = op.children[0]
-    layout = child.output_layout()
-    target = op.target
-    old_indices = [
-        layout.resolve(ColumnRef(name, op.target_alias))
-        for name in target.schema.column_names
-    ]
-    victims: list[tuple] = []
-    seen: set[tuple] = set()
-    for row in build_iterator(child, segment, ctx):
-        victim = tuple(row[i] for i in old_indices)
-        # a USING join may match the same target row several times; it is
-        # still deleted once (PostgreSQL semantics)
-        if victim not in seen:
-            seen.add(victim)
-            victims.append(victim)
-
-    if segment != COORDINATOR_SEGMENT:
-        if victims:
-            raise ExecutionError(
-                "Delete received rows on a non-coordinator segment"
-            )
-        return
-
-    from ..storage.distribution import segment_for
-
-    store = ctx.storage.store(target.oid)
-    deletions: dict[tuple[int, int], list[tuple]] = {}
-    for victim in victims:
-        if target.is_partitioned:
-            leaf = target.route_row(victim)
-            assert leaf is not None
-            oid = target.leaf_oid(leaf)
-        else:
-            oid = target.oid
-        dist = target.distribution
-        if dist.kind == "replicated":
-            segments = range(ctx.num_segments)
-        else:
-            col_idx = target.schema.column_index(dist.column)  # type: ignore[arg-type]
-            segments = [segment_for(victim[col_idx], ctx.num_segments)]
-        for seg in segments:
-            deletions.setdefault((seg, oid), []).append(victim)
-    for (seg, oid), rows in deletions.items():
-        store.delete_from_leaf(seg, oid, rows)
-    yield (len(victims),)
-
-
-# ---------------------------------------------------------------------------
-# Batch-mode (vectorized) execution
-# ---------------------------------------------------------------------------
-#
-# The batch pipeline is the same Volcano tree pulling lists of tuples
-# instead of single tuples: scans slice batches straight out of the heap
-# lists, and filters / projections / joins / aggregation loop tightly over
-# one batch per Python frame.  Accounting stays exact: metrics charge
-# ``len(batch)`` per node, guardrail ticks advance by ``len(batch)``,
-# ``max_rows`` charges replicate the row path's charge-by-charge crossing,
-# and Limit truncates the final batch so downstream operators see the
-# same rows as row-at-a-time execution.  Fault-injection ``scan_row`` /
-# ``motion_send`` points fire once per batch.
-#
-# The one place batch counters can legally diverge from row counters is a
-# LIMIT that abandons its child mid-stream: the child has already produced
-# its current batch (up to batch_size - 1 extra rows show in that child's
-# ``rows_out`` / ``rows_scanned``).  Result rows are identical.
-
-
-def build_batches(
-    op: phys.PhysicalOp, segment: int, ctx: ExecContext
-) -> BatchIter:
-    """Batch-mode counterpart of :func:`build_iterator`: the iterator
-    tree for ``op`` on one segment, yielding row batches of (at most)
-    ``ctx.batch_size`` rows."""
-    inner = ctx.metrics.instrument_batches(
-        op, segment, _raw_batches(op, segment, ctx)
-    )
-    if ctx.limits.active:
-        return _guarded_batches(ctx.limits, inner)
-    return inner
-
-
-def _guarded_batches(limits, inner: BatchIter) -> BatchIter:
-    tick_rows = limits.tick_rows
-    for batch in inner:
-        tick_rows(len(batch))
-        yield batch
-
-
-def _raw_batches(
-    op: phys.PhysicalOp, segment: int, ctx: ExecContext
-) -> BatchIter:
-    factory = EXTRA_BATCH_ITERATORS.get(type(op))
-    if factory is not None:
-        return factory(op, segment, ctx)
-    if type(op) in EXTRA_ITERATORS:
-        return _rebatch(
-            EXTRA_ITERATORS[type(op)](op, segment, ctx), ctx.batch_size
-        )
-    if isinstance(op, phys.Motion):
-        return _slice_batches(
-            ctx.motion_rows(id(op), segment), ctx.batch_size
-        )
-    if isinstance(op, phys.Scan):
-        return _scan_batches(op, segment, ctx)
-    if isinstance(op, phys.EmptyScan):
-        return iter(())
-    if isinstance(op, phys.LeafScan):
-        return _leaf_scan_batches(op, segment, ctx)
-    if isinstance(op, phys.DynamicScan):
-        return _dynamic_scan_batches(op, segment, ctx)
-    if isinstance(op, phys.PartitionSelector):
-        return _partition_selector_batches(op, segment, ctx)
-    if isinstance(op, phys.Sequence):
-        return _sequence_batches(op, segment, ctx)
-    if isinstance(op, phys.Filter):
-        return _filter_batches(op, segment, ctx)
-    if isinstance(op, phys.Project):
-        return _project_batches(op, segment, ctx)
-    if isinstance(op, phys.HashJoin):
-        return _hash_join_batches(op, segment, ctx)
-    if isinstance(op, phys.HashAgg):
-        return _hash_agg_batches(op, segment, ctx)
-    if isinstance(op, phys.Sort):
-        return _sort_batches(op, segment, ctx)
-    if isinstance(op, phys.Limit):
-        return _limit_batches(op, segment, ctx)
-    if isinstance(op, phys.Append):
-        return _append_batches(op, segment, ctx)
-    # NLJoin, Update, Delete and anything unknown keep their row-at-a-time
-    # implementation (they materialize or mutate — batching buys nothing);
-    # re-batching preserves their exact counter behaviour.
-    return _rebatch(_raw_iterator(op, segment, ctx), ctx.batch_size)
-
-
-def _slice_batches(rows: list, batch_size: int) -> BatchIter:
-    """Batches sliced out of an already-materialized row list."""
-    for start in range(0, len(rows), batch_size):
-        yield rows[start : start + batch_size]
-
-
-def _rebatch(inner: RowIter, batch_size: int) -> BatchIter:
-    """Accumulate a row iterator into batches (compat shim for operators
-    without a native batch implementation)."""
-    batch: list = []
-    append = batch.append
-    for row in inner:
-        append(row)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-            append = batch.append
-    if batch:
-        yield batch
-
-
-def _scan_batches(op: phys.Scan, segment: int, ctx: ExecContext) -> BatchIter:
-    faults = ctx.faults if ctx.faults.active else None
-    count = 0
-    for batch in ctx.storage.scan_table_batches(
-        segment, op.table.oid, batch_size=ctx.batch_size
-    ):
-        if faults is not None:
-            faults.maybe_fire(SCAN_ROW, segment)
-        count += len(batch)
-        yield batch
-    ctx.metrics.record_scan_rows(op, op.table, segment, count)
-
-
-def _leaf_scan_batches(
-    op: phys.LeafScan, segment: int, ctx: ExecContext
-) -> BatchIter:
-    if op.guard_scan_id is not None:
-        selected = ctx.channel(op.guard_scan_id, segment).peek()
-        if op.leaf_oid not in selected:
-            return
-    ctx.metrics.record_leaf(op, op.table, op.leaf_oid, segment)
-    faults = ctx.faults if ctx.faults.active else None
-    count = 0
-    for batch in ctx.storage.scan_table_batches(
-        segment, op.table.oid, [op.leaf_oid], ctx.batch_size
-    ):
-        if faults is not None:
-            faults.maybe_fire(SCAN_ROW, segment)
-        count += len(batch)
-        yield batch
-    ctx.metrics.record_scan_rows(op, op.table, segment, count)
-
-
-def _dynamic_scan_batches(
-    op: phys.DynamicScan, segment: int, ctx: ExecContext
-) -> BatchIter:
-    ctx.metrics.node(op).part_scan_id = op.part_scan_id
-    oids = ctx.channel(op.part_scan_id, segment).consume()
-    faults = ctx.faults if ctx.faults.active else None
-    for oid in oids:
-        ctx.metrics.record_leaf(op, op.table, oid, segment)
-        count = 0
-        for batch in ctx.storage.scan_table_batches(
-            segment, op.table.oid, [oid], ctx.batch_size
-        ):
-            if faults is not None:
-                faults.maybe_fire(SCAN_ROW, segment)
-            count += len(batch)
-            yield batch
-        ctx.metrics.record_scan_rows(op, op.table, segment, count)
-
-
-def _partition_selector_batches(
-    op: phys.PartitionSelector, segment: int, ctx: ExecContext
-) -> BatchIter:
-    spec = op.spec
-    channel = ctx.channel(spec.part_scan_id, segment)
-    child = op.children[0] if op.children else None
-
-    cache = ctx.cache
-    if cache is not None:
-        cached = cache.cached_oids(spec.part_scan_id, segment)
-        if cached is not None:
-            ctx.metrics.node(op).part_scan_id = spec.part_scan_id
-            ctx.metrics.record_selector(
-                spec.part_scan_id, "cached", spec.table.num_leaves
-            )
-            for oid in cached:
-                partition_propagation(ctx, spec.part_scan_id, segment, oid)
-            if ctx.faults.active:
-                ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
-            channel.close()
-            if child is not None:
-                yield from build_batches(child, segment, ctx)
-            return
-
-    child_layout = child.output_layout() if child is not None else None
-    program = _SelectorProgram(spec, child_layout, ctx.params)
-    ctx.metrics.node(op).part_scan_id = spec.part_scan_id
-    ctx.metrics.record_selector(
-        spec.part_scan_id,
-        "dynamic" if program.has_streaming else "static",
-        spec.table.num_leaves,
-    )
-
-    if not program.has_streaming:
-        if spec.has_predicates:
-            oids = program.constant_oids()
-        else:
-            oids = partition_expansion(ctx.catalog, spec.table.oid)
-        for oid in oids:
-            partition_propagation(ctx, spec.part_scan_id, segment, oid)
-        if ctx.faults.active:
-            ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
-        channel.close()
-        if child is not None:
             yield from build_batches(child, segment, ctx)
         return
 
+    # Dynamic selection: apply the selection function per streamed tuple.
     if child is None:
         raise ExecutionError(
             "streaming PartitionSelector requires an input (join predicate "
@@ -1045,6 +440,11 @@ def _sequence_batches(
         for _ in build_batches(child, segment, ctx):
             pass
     yield from build_batches(op.children[-1], segment, ctx)
+
+
+# ---------------------------------------------------------------------------
+# Row operators
+# ---------------------------------------------------------------------------
 
 
 def _filter_batches(
@@ -1150,10 +550,118 @@ def _hash_join_batches(
                     if residual is None or residual(combined):
                         out.append(combined)
         if len(out) >= batch_size:
-            yield out
+            # one probe batch may fan out past the width: re-slice so no
+            # batch exceeds it
+            yield from _slice_batches(out, batch_size)
             out = []
     if out:
         yield out
+
+
+def _nl_join_batches(
+    op: phys.NLJoin, segment: int, ctx: ExecContext
+) -> BatchIter:
+    outer_rows = _drain(op.outer, segment, ctx)
+    inner_rows = _drain(op.inner, segment, ctx)
+    if ctx.limits.active:
+        # both sides are materialized: one gulp charge
+        ctx.limits.charge_rows(len(outer_rows) + len(inner_rows))
+    combined_layout = op.outer.output_layout().concat(op.inner.output_layout())
+    predicate = (
+        compile_predicate(op.predicate, combined_layout, ctx.params)
+        if op.predicate is not None
+        else None
+    )
+    semi = op.kind == "semi"
+    batch_size = ctx.batch_size
+    out: list[tuple] = []
+    for outer_row in outer_rows:
+        for inner_row in inner_rows:
+            combined = outer_row + inner_row
+            if predicate is None or predicate(combined):
+                if semi:
+                    out.append(outer_row)
+                    break
+                out.append(combined)
+        if len(out) >= batch_size:
+            yield from _slice_batches(out, batch_size)
+            out = []
+    if out:
+        yield out
+
+
+class _Accumulator:
+    """State of one aggregate within one group."""
+
+    __slots__ = ("func", "count", "total", "best")
+
+    def __init__(self, func: str):
+        self.func = func
+        self.count = 0
+        self.total: Any = None
+        self.best: Any = None
+
+    def add(self, value: Any) -> None:
+        if self.func == "count":
+            # COUNT(expr) skips NULLs; COUNT(*) feeds a sentinel non-NULL.
+            if value is not None:
+                self.count += 1
+            return
+        if value is None:
+            return
+        self.count += 1
+        if self.func in ("sum", "avg"):
+            self.total = value if self.total is None else self.total + value
+        elif self.func == "min":
+            self.best = value if self.best is None else min(self.best, value)
+        elif self.func == "max":
+            self.best = value if self.best is None else max(self.best, value)
+
+    def result(self) -> Any:
+        if self.func == "count":
+            return self.count
+        if self.func == "sum":
+            return self.total
+        if self.func == "avg":
+            if self.count == 0:
+                return None
+            return self.total / self.count
+        return self.best
+
+    # -- two-stage aggregation ---------------------------------------------
+
+    def transition(self) -> Any:
+        """Partial-aggregate state shipped between segments.
+
+        AVG needs both the running sum and the count; the other functions'
+        transition state is their result so far.
+        """
+        if self.func == "avg":
+            return (self.total, self.count)
+        return self.result()
+
+    def combine(self, state: Any) -> None:
+        """Fold another segment's transition state into this accumulator."""
+        if self.func == "count":
+            if state is not None:
+                self.count += state
+            return
+        if self.func == "avg":
+            if state is None:
+                return
+            total, count = state
+            if total is not None:
+                self.total = total if self.total is None else self.total + total
+            self.count += count
+            return
+        if state is None:
+            return
+        if self.func == "sum":
+            self.total = state if self.total is None else self.total + state
+        elif self.func == "min":
+            self.best = state if self.best is None else min(self.best, state)
+        elif self.func == "max":
+            self.best = state if self.best is None else max(self.best, state)
 
 
 def _hash_agg_batches(
@@ -1165,6 +673,7 @@ def _hash_agg_batches(
     ]
     limits = ctx.limits if ctx.limits.active else None
     if op.mode == "final":
+        # Input rows are (keys..., transition states...): combine them.
         key_count = len(op.group_keys)
         groups: dict[tuple, list[_Accumulator]] = {}
         for batch in build_batches(op.children[0], segment, ctx):
@@ -1181,6 +690,7 @@ def _hash_agg_batches(
                 for accumulator, state in zip(accumulators, row[key_count:]):
                     accumulator.combine(state)
             if limits is not None and new_groups:
+                # one buffered group ≈ one row of state
                 limits.charge_rows_batch(new_groups)
         if not groups and not op.group_keys:
             if segment == COORDINATOR_SEGMENT:
@@ -1227,6 +737,9 @@ def _hash_agg_batches(
             limits.charge_rows_batch(new_groups)
 
     if op.mode == "partial":
+        # Emit per-segment transition rows; a scalar partial emits one row
+        # per segment even on empty input so the final stage always has
+        # states to combine.
         if not groups and not op.group_keys:
             yield [
                 tuple(
@@ -1245,6 +758,8 @@ def _hash_agg_batches(
         return
 
     if not groups and not op.group_keys:
+        # Scalar aggregation over empty input yields one row; the child is
+        # always gathered to the coordinator, so emit there only.
         if segment == COORDINATOR_SEGMENT:
             yield [
                 tuple(
@@ -1262,6 +777,32 @@ def _hash_agg_batches(
     )
 
 
+def _sort_key(keys_asc: list[bool]):
+    """Sort key with SQL NULL placement: NULLs last ascending, first
+    descending (PostgreSQL default)."""
+
+    class _Wrapped:
+        __slots__ = ("values",)
+
+        def __init__(self, values):
+            self.values = values
+
+        def __lt__(self, other: "_Wrapped") -> bool:
+            for (a, b), ascending in zip(
+                zip(self.values, other.values), keys_asc
+            ):
+                if a == b:
+                    continue
+                if a is None:
+                    return not ascending
+                if b is None:
+                    return ascending
+                return (a < b) if ascending else (b < a)
+            return False
+
+    return _Wrapped
+
+
 def _sort_batches(op: phys.Sort, segment: int, ctx: ExecContext) -> BatchIter:
     layout = op.children[0].output_layout()
     key_fns = [
@@ -1269,10 +810,8 @@ def _sort_batches(op: phys.Sort, segment: int, ctx: ExecContext) -> BatchIter:
     ]
     ascending = [asc for _, asc in op.keys]
     wrapper = _sort_key(ascending)
-    rows: list[tuple] = []
-    for batch in build_batches(op.children[0], segment, ctx):
-        rows.extend(batch)
-    # one gulp charge, exactly like the row path's _sort_iter
+    rows = _drain(op.children[0], segment, ctx)
+    # the input is materialized: one gulp charge
     if ctx.limits.active:
         ctx.limits.charge_rows(len(rows))
     rows.sort(key=lambda row: wrapper([fn(row) for fn in key_fns]))
@@ -1285,8 +824,8 @@ def _limit_batches(op: phys.Limit, segment: int, ctx: ExecContext) -> BatchIter:
         return
     for batch in build_batches(op.children[0], segment, ctx):
         if len(batch) >= remaining:
-            # split the final batch: downstream sees exactly the same rows
-            # as row-at-a-time execution
+            # split the final batch: downstream sees exactly the first
+            # ``count`` rows, whatever the width
             yield batch[:remaining]
             return
         remaining -= len(batch)
@@ -1298,3 +837,109 @@ def _append_batches(
 ) -> BatchIter:
     for child in op.children:
         yield from build_batches(child, segment, ctx)
+
+
+# ---------------------------------------------------------------------------
+# DML
+# ---------------------------------------------------------------------------
+
+
+def _target_rows(
+    op: phys.Update | phys.Delete, segment: int, ctx: ExecContext
+) -> tuple[list[tuple], list[int]]:
+    """The child's rows plus the slot of each target column in them."""
+    child = op.children[0]
+    layout = child.output_layout()
+    indices = [
+        layout.resolve(ColumnRef(name, op.target_alias))
+        for name in op.target.schema.column_names
+    ]
+    return _drain(child, segment, ctx), indices
+
+
+def _check_coordinator(op, segment: int, count: int) -> bool:
+    """The child stream is gathered; only the coordinator applies.  True
+    iff this instance must apply the statement."""
+    if segment == COORDINATOR_SEGMENT:
+        return True
+    if count:
+        raise ExecutionError(
+            f"{op.name} received rows on a non-coordinator segment"
+        )
+    return False
+
+
+def _update_batches(
+    op: phys.Update, segment: int, ctx: ExecContext
+) -> BatchIter:
+    rows, old_indices = _target_rows(op, segment, ctx)
+    layout = op.children[0].output_layout()
+    assignment_fns = {
+        column: compile_expression(expr, layout, ctx.params)
+        for column, expr in op.assignments
+    }
+    new_fns = [
+        assignment_fns.get(name)
+        for name in op.target.schema.column_names
+    ]
+    updates: list[tuple[tuple, tuple]] = []
+    for row in rows:
+        old_row = tuple(row[i] for i in old_indices)
+        new_row = tuple(
+            fn(row) if fn is not None else old_row[i]
+            for i, fn in enumerate(new_fns)
+        )
+        updates.append((old_row, new_row))
+    if not _check_coordinator(op, segment, len(updates)):
+        return
+    # delete-then-insert re-routes rows whose partition key or
+    # distribution key changed
+    store = ctx.storage.store(op.target.oid)
+    _delete_rows(store, op.target, [old for old, _ in updates], ctx)
+    for _, new_row in updates:
+        store.insert(new_row)
+    yield [(len(updates),)]
+
+
+def _delete_batches(
+    op: phys.Delete, segment: int, ctx: ExecContext
+) -> BatchIter:
+    rows, old_indices = _target_rows(op, segment, ctx)
+    # a USING join may match the same target row several times; it is
+    # still deleted once (PostgreSQL semantics)
+    victims = list(
+        dict.fromkeys(tuple(row[i] for i in old_indices) for row in rows)
+    )
+    if not _check_coordinator(op, segment, len(victims)):
+        return
+    store = ctx.storage.store(op.target.oid)
+    _delete_rows(store, op.target, victims, ctx)
+    yield [(len(victims),)]
+
+
+def _delete_rows(
+    store, target: TableDescriptor, rows: list[tuple], ctx: ExecContext
+) -> None:
+    """Delete ``rows`` from the (segment, leaf) buckets holding them."""
+    dist = target.distribution
+    col_idx = (
+        None
+        if dist.kind == "replicated"
+        else target.schema.column_index(dist.column)  # type: ignore[arg-type]
+    )
+    deletions: dict[tuple[int, int], list[tuple]] = {}
+    for row in rows:
+        if target.is_partitioned:
+            leaf = target.route_row(row)
+            assert leaf is not None
+            oid = target.leaf_oid(leaf)
+        else:
+            oid = target.oid
+        if col_idx is None:
+            segments = range(ctx.num_segments)
+        else:
+            segments = [segment_for(row[col_idx], ctx.num_segments)]
+        for seg in segments:
+            deletions.setdefault((seg, oid), []).append(row)
+    for (seg, oid), victims in deletions.items():
+        store.delete_from_leaf(seg, oid, victims)

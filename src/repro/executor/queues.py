@@ -115,7 +115,7 @@ class TupleQueue:
 
         Bounded queues fall back to per-row :meth:`put` so backpressure
         (and the full-with-no-consumer :class:`ChannelError`) fires on
-        exactly the same row as the row-at-a-time path.
+        exactly the same row as sequential per-row puts.
         """
         if not rows:
             return
@@ -237,9 +237,6 @@ class MotionBuffer:
         self._queues = [
             TupleQueue(capacity, limits=limits) for _ in range(num_segments)
         ]
-
-    def send(self, target: int, row: tuple, producer: int) -> None:
-        self._queues[target].put(row, producer)
 
     def send_batch(
         self, target: int, rows: list[tuple], producer: int

@@ -13,6 +13,7 @@ rows where the predicate is strictly true.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Iterable, Sequence
 
 from ..errors import BindError, ExecutionError
@@ -221,16 +222,12 @@ def compile_expression(
                 return a - b
             if op == "*":
                 return a * b
-            if op == "/":
-                if b == 0:
-                    raise ExecutionError("division by zero")
-                result = a / b
-                if isinstance(a, int) and isinstance(b, int):
-                    return a // b
-                return result
             if b == 0:
                 raise ExecutionError("division by zero")
-            return a % b
+            if isinstance(a, int) and isinstance(b, int):
+                quotient = _truncated_quotient(a, b)
+                return quotient if op == "/" else a - b * quotient
+            return a / b if op == "/" else math.fmod(a, b)
 
         return arith
 
@@ -240,6 +237,16 @@ def compile_expression(
         )
 
     raise ExecutionError(f"cannot compile expression {expr!r}")
+
+
+def _truncated_quotient(a: int, b: int) -> int:
+    """Integer quotient rounded toward zero, as SQL (PostgreSQL/GPDB,
+    SQLite) defines ``/`` on integers — Python's ``//`` floors instead.
+    The matching remainder ``a - b * q`` takes the dividend's sign."""
+    quotient = a // b
+    if quotient < 0 and quotient * b != a:
+        quotient += 1
+    return quotient
 
 
 def compile_predicate(

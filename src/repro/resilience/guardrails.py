@@ -2,10 +2,12 @@
 
 :class:`QueryLimits` is the cooperative enforcement object one execution
 carries on its :class:`~repro.executor.context.ExecContext`.  Iterators
-call :meth:`QueryLimits.tick` once per row (cheap: one attribute check,
-with the wall-clock read amortized over ``check_interval`` rows) and
+call :meth:`QueryLimits.tick_rows` once per batch — exactly what one
+:meth:`QueryLimits.tick` per row would enforce (cancellation every row,
+the wall-clock read amortized over ``check_interval`` rows) — and
 blocking operators charge their materialized rows through
-:meth:`QueryLimits.charge_rows` — the engine's memory-consumption proxy.
+:meth:`QueryLimits.charge_rows` / :meth:`QueryLimits.charge_rows_batch`
+— the engine's memory-consumption proxy.
 Each violation raises its own typed error so callers can distinguish a
 cancelled query from a timed-out or over-budget one.
 

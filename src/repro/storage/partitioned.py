@@ -2,8 +2,9 @@
 
 The paper assumes "given a logical partition OID the storage layer can
 locate and retrieve the tuples belonging to that partition" (Section 2.1);
-:meth:`StorageManager.scan_leaf` is exactly that contract, resolving a leaf
-OID to its owning table's store.
+:meth:`StorageManager.scan_table_batches` with a leaf-OID list is exactly
+that contract (:meth:`~repro.catalog.Catalog.owner_of_leaf` resolves a
+bare leaf OID to the root the call names).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class StorageManager:
         #: table's writes fan out here (the cache layer's invalidation feed)
         self._mutation_listeners: list = []
         #: simulated per-read I/O latency in seconds (0.0 = off).  Each
-        #: ``scan_table``/``scan_leaf`` call sleeps this long before its
+        #: ``scan_table_batches`` call sleeps this long before its
         #: first row — modelling the seek a real segment pays per
         #: partition file.  The sleep releases the GIL, so it is also what
         #: the parallel scheduler genuinely overlaps across segment worker
@@ -148,22 +149,6 @@ class StorageManager:
         """Every registered store (checkpoint snapshots iterate this)."""
         return iter(self._stores.values())
 
-    def scan_leaf(self, segment: int, leaf_oid: int) -> Iterator[tuple]:
-        """Scan one leaf partition on one segment, addressed purely by OID."""
-        owner = self.catalog.owner_of_leaf(leaf_oid)
-        inner = self.store(owner.oid).scan_segment(segment, [leaf_oid])
-        if self.io_latency_s > 0:
-            return self._delayed(inner)
-        return inner
-
-    def scan_table(
-        self, segment: int, root_oid: int, oids: Sequence[int] | None = None
-    ) -> Iterator[tuple]:
-        inner = self.store(root_oid).scan_segment(segment, oids)
-        if self.io_latency_s > 0:
-            return self._delayed(inner)
-        return inner
-
     def scan_table_batches(
         self,
         segment: int,
@@ -171,9 +156,10 @@ class StorageManager:
         oids: Sequence[int] | None = None,
         batch_size: int = 1024,
     ) -> Iterator[list[tuple]]:
-        """Batched variant of :meth:`scan_table`: row batches sliced
-        straight out of the heap lists.  The simulated I/O latency is
-        still one sleep per scan call, same as the row path."""
+        """Rows of ``root_oid`` stored on ``segment``, restricted to the
+        given leaf OIDs (``None`` = every leaf), as row batches sliced
+        straight out of the heap lists.  The simulated I/O latency is one
+        sleep per call."""
         inner = self.store(root_oid).scan_segment_batches(
             segment, oids, batch_size
         )
@@ -181,7 +167,7 @@ class StorageManager:
             return self._delayed(inner)
         return inner
 
-    def _delayed(self, inner: Iterator[tuple]) -> Iterator[tuple]:
+    def _delayed(self, inner: Iterator[list]) -> Iterator[list]:
         """Pay the simulated I/O latency lazily, on the consumer's first
         ``next()`` — i.e. on the worker thread that actually runs the
         scan, not on the thread that built the iterator."""

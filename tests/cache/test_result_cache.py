@@ -160,6 +160,22 @@ def test_dml_statements_are_never_result_cached():
     assert len(db.cache.results) == before
 
 
+def test_result_stats_count_only_select_lookups():
+    """DML never probes the result cache: a SELECT run twice followed by
+    an INSERT ... VALUES, an INSERT ... SELECT, an UPDATE and a DELETE
+    shows exactly the SELECT's one miss and one hit."""
+    db = _build_db()
+    db.sql(HOT)
+    db.sql(HOT)
+    db.sql("INSERT INTO facts VALUES (9004, 90, 7)")
+    db.sql("INSERT INTO facts SELECT id, key, val FROM facts WHERE key = 5")
+    db.sql("UPDATE facts SET val = 0 WHERE key = 91")
+    db.sql("DELETE FROM facts WHERE key = 92")
+    results = db.cache.stats_dict()["results"]
+    assert (results["hits"], results["misses"]) == (1, 1)
+    assert results["stores"] == 1
+
+
 def test_served_rows_are_fresh_copies():
     db = _build_db()
     db.sql(HOT)

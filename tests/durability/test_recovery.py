@@ -16,6 +16,7 @@ from repro.catalog import (
     monthly_range_level,
 )
 from repro.errors import DurabilityError
+from repro.obs.metrics import METRICS_SCHEMA_VERSION
 
 START = datetime.date(2013, 1, 1)
 
@@ -259,7 +260,7 @@ def test_metrics_carry_durability_section(tmp_path):
     _orders(db)
     result = db.sql("SELECT count(*) FROM orders")
     data = result.metrics.to_dict()
-    assert data["schema_version"] == 9
+    assert data["schema_version"] == METRICS_SCHEMA_VERSION
     section = data["durability"]
     assert section["enabled"] is True
     assert section["wal_records"] > 0

@@ -1,15 +1,14 @@
-"""Vectorized batch execution: exact equivalence with the row path.
+"""Batch execution: exact equivalence across batch widths.
 
-The executor's batch pipeline (``batch_size > 1``) must be externally
-indistinguishable from row-at-a-time execution — same rows, same
-guardrail firing points (max_rows budget, cooperative cancel, timeout),
-same LIMIT semantics — at every batch width.  These tests pin the exact
-accounting rules:
+The executor's one pipeline must be externally indistinguishable at any
+width from width 1 (one row per batch) — same rows, same guardrail
+firing points (max_rows budget, cooperative cancel, timeout), same LIMIT
+semantics.  These tests pin the exact accounting rules:
 
 * ``tick_rows(n)`` enforces exactly what ``n`` sequential ``tick()``
   calls would (cancel-after-checks thresholds, amortized deadline reads);
 * ``charge_rows_batch(n)`` stops at the first crossing charge, so
-  ``buffered_rows`` and the typed error message match the row path;
+  ``buffered_rows`` and the typed error message match per-row charging;
 * ``TupleQueue.put_batch`` degrades to per-row puts on bounded queues so
   backpressure errors fire on the same row.
 """
@@ -267,7 +266,7 @@ def test_scan_segment_batches_matches_scan_segment(orders_db):
     storage = orders_db.storage
     root = orders_db.catalog.table("orders").oid
     for segment in range(orders_db.num_segments):
-        rows = list(storage.scan_table(segment, root))
+        rows = list(storage.store(root).scan_segment(segment))
         batches = list(
             storage.scan_table_batches(segment, root, batch_size=64)
         )

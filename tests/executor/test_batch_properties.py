@@ -1,7 +1,7 @@
-"""Property-based batch/row equivalence.
+"""Property-based batch-width equivalence.
 
 For random partition predicates, any batch width, and any worker count,
-the vectorized pipeline must return exactly the row-at-a-time rows, scan
+the pipeline must return exactly the width-1 rows, scan
 exactly the same partition set, and read the same number of rows —
 vectorization may never change what partition elimination selects or
 what the query answers.

@@ -6,7 +6,7 @@ from repro import types as t
 from repro.catalog import DistributionPolicy, TableSchema
 from repro.engine import Database
 from repro.executor.context import COORDINATOR_SEGMENT, ExecContext
-from repro.executor.iterators import build_iterator
+from repro.executor.iterators import build_batches
 from repro.expr.ast import ColumnRef
 from repro.physical.ops import (
     BroadcastMotion,
@@ -35,7 +35,7 @@ def _buffered_rows(db, motion):
     ctx = ExecContext(db.catalog, db.storage, db.num_segments)
     db.executor._run_motion(motion, ctx)
     return [
-        list(build_iterator(motion, segment, ctx))
+        [row for batch in build_batches(motion, segment, ctx) for row in batch]
         for segment in range(db.num_segments)
     ]
 

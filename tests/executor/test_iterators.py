@@ -1,4 +1,4 @@
-"""Operator iterators: joins, aggregation, sorting, selector semantics —
+"""Operator batch iterators: joins, aggregation, sorting, selector semantics —
 exercised directly against hand-built plan fragments."""
 
 import pytest
@@ -13,7 +13,7 @@ from repro.catalog import (
 )
 from repro.errors import ChannelError
 from repro.executor.context import ExecContext
-from repro.executor.iterators import build_iterator
+from repro.executor.iterators import build_batches
 from repro.expr.ast import (
     AggCall,
     ColumnRef,
@@ -69,10 +69,15 @@ def env():
     return catalog, storage, part, plain
 
 
+def _flatten(op, segment: int, ctx) -> list[tuple]:
+    """Every row an operator's batch iterator yields on one segment."""
+    return [row for batch in build_batches(op, segment, ctx) for row in batch]
+
+
 def _run(op, catalog, storage, params=None) -> list[tuple]:
     """Run an iterator on one segment (tables above are replicated)."""
     ctx = ExecContext(catalog, storage, SEGMENTS, params)
-    return list(build_iterator(op, 0, ctx))
+    return _flatten(op, 0, ctx)
 
 
 def test_scan_and_filter(env):
@@ -117,7 +122,7 @@ def test_static_selector_prunes(env):
     )
     plan = PartitionSelector(spec, DynamicScan(part, "t", 1))
     ctx = ExecContext(catalog, storage, SEGMENTS)
-    rows = list(build_iterator(plan, 0, ctx))
+    rows = _flatten(plan, 0, ctx)
     assert sorted(r[0] for r in rows) == [0, 5, 10, 15, 20]
     assert ctx.tracker.partitions_scanned("part") == 1
 
@@ -131,7 +136,7 @@ def test_parameter_selector_prunes_at_runtime(env):
     )
     plan = PartitionSelector(spec, DynamicScan(part, "t", 1))
     ctx = ExecContext(catalog, storage, SEGMENTS, params=[30])
-    rows = list(build_iterator(plan, 0, ctx))
+    rows = _flatten(plan, 0, ctx)
     assert all(25 <= r[0] < 50 for r in rows)
     assert ctx.tracker.partitions_scanned("part") == 1
 
@@ -150,7 +155,7 @@ def test_streaming_selector_selects_per_tuple(env):
         Comparison("=", ColumnRef("a", "p"), ColumnRef("k", "t")),
     )
     ctx = ExecContext(catalog, storage, SEGMENTS)
-    list(build_iterator(join, 0, ctx))
+    _flatten(join, 0, ctx)
     # values 1,2,3 (and NULL) all fall in the first partition only
     assert ctx.tracker.partitions_scanned("part") == 1
 
@@ -259,7 +264,7 @@ def test_scalar_agg_empty_input_on_coordinator(env):
     assert _run(agg, catalog, storage) == [(0, None)]
     # ...other segments stay silent
     ctx = ExecContext(catalog, storage, SEGMENTS)
-    assert list(build_iterator(agg, 1, ctx)) == []
+    assert _flatten(agg, 1, ctx) == []
 
 
 def test_sort_null_placement(env):
@@ -289,6 +294,6 @@ def test_append_and_guarded_leaf_scan(env):
     channel = ctx.channel(9, 0)
     channel.push(oids[1])
     channel.close()
-    rows = list(build_iterator(append, 0, ctx))
+    rows = _flatten(append, 0, ctx)
     assert all(25 <= r[0] < 50 for r in rows)
     assert ctx.tracker.partitions_scanned("part") == 1

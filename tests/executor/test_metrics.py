@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.expr.ast import ColumnRef
+from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.physical.ops import (
     BroadcastMotion,
     GatherMotion,
@@ -185,6 +186,13 @@ def test_motion_shapes_agree(orders_db):
 # ---------------------------------------------------------------------------
 
 
+def test_metrics_schema_version_is_pinned():
+    """The one pin on the export schema version: a shape change must bump
+    it deliberately (with a changelog line in repro.obs.metrics), and
+    every other test compares exports against the constant."""
+    assert METRICS_SCHEMA_VERSION == 9
+
+
 def test_metrics_json_round_trip(orders_db):
     sql = (
         "SELECT count(*) FROM orders "
@@ -192,7 +200,7 @@ def test_metrics_json_round_trip(orders_db):
     )
     result = orders_db.sql(sql, analyze=True)
     data = json.loads(result.metrics.to_json())
-    assert data["schema_version"] == 9
+    assert data["schema_version"] == METRICS_SCHEMA_VERSION
     assert data["num_segments"] == SEGMENTS
     assert data["timing_collected"] is True
     # Every v1/v2 field survives in v3, plus the additive trace and

@@ -25,6 +25,7 @@ from repro.catalog import (
 from repro.errors import ChannelError
 from repro.executor.queues import MotionBuffer, TupleQueue
 from repro.executor.scheduler import SegmentScheduler
+from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.resilience import FAIL_ONCE, MOTION_SEND, SCAN_ROW
 
 SEGMENTS = 4
@@ -174,9 +175,9 @@ def test_queue_discard_producer_drops_only_that_run():
 
 def test_motion_buffer_routes_and_discards_per_target():
     buffer = MotionBuffer(num_segments=2)
-    buffer.send(0, ("x",), producer=1)
-    buffer.send(1, ("y",), producer=1)
-    buffer.send(1, ("z",), producer=0)
+    buffer.send_batch(0, [("x",)], producer=1)
+    buffer.send_batch(1, [("y",)], producer=1)
+    buffer.send_batch(1, [("z",)], producer=0)
     assert buffer.discard_producer(1) == 2
     buffer.close()
     assert buffer.rows(0) == []
@@ -263,7 +264,7 @@ def test_default_execution_stays_serial(pdb):
 def test_parallel_metrics_section_shape(pdb):
     result = pdb.sql(JOIN_SQL, analyze=True, workers=4)
     data = result.metrics.to_dict()
-    assert data["schema_version"] == 9
+    assert data["schema_version"] == METRICS_SCHEMA_VERSION
     section = data["parallel"]
     assert section["workers"] == 4
     assert section["mode"] == "parallel"

@@ -104,9 +104,26 @@ def test_arithmetic():
     assert evaluate(Arithmetic("/", Literal(7), Literal(2))) == 3  # int div
     assert evaluate(Arithmetic("/", Literal(7.0), Literal(2))) == 3.5
     assert evaluate(Arithmetic("%", Literal(7), Literal(3))) == 1
+    # integer / and % truncate toward zero (PostgreSQL/GPDB, SQLite), not
+    # Python's floor semantics; the remainder takes the dividend's sign
+    for op, left, right, expected in [
+        ("/", -5, 2, -2),
+        ("/", 7, -2, -3),
+        ("/", -7, -2, 3),
+        ("/", -6, 2, -3),
+        ("%", -5, 3, -2),
+        ("%", 5, -3, 2),
+        ("%", -5, -3, -2),
+        ("%", -6, 3, 0),
+        ("%", -5.5, 3, -2.5),
+    ]:
+        result = evaluate(Arithmetic(op, Literal(left), Literal(right)))
+        assert result == expected, (op, left, right)
     assert evaluate(Arithmetic("+", Literal(None), Literal(3))) is None
     with pytest.raises(ExecutionError):
         evaluate(Arithmetic("/", Literal(1), Literal(0)))
+    with pytest.raises(ExecutionError):
+        evaluate(Arithmetic("%", Literal(-5), Literal(0)))
 
 
 def test_parameters():

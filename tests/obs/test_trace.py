@@ -16,6 +16,7 @@ import pytest
 from repro.obs import Tracer, activate
 from repro.obs import opt_events
 from repro.obs import trace as obs_trace
+from repro.obs.metrics import METRICS_SCHEMA_VERSION
 
 JOIN_SQL = (
     "SELECT count(*) FROM orders_fk, date_dim "
@@ -166,7 +167,7 @@ def test_traced_join_optimizer_summary(orders_db):
 def test_traced_metrics_export_carries_trace_sections(orders_db):
     result = orders_db.sql(JOIN_SQL, trace=True)
     data = json.loads(result.metrics.to_json())
-    assert data["schema_version"] == 9
+    assert data["schema_version"] == METRICS_SCHEMA_VERSION
     # top-level phases (nested spans such as place_partition_selectors and
     # the slices live in the span list, under their parents)
     assert _is_subsequence(

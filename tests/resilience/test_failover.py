@@ -14,6 +14,7 @@ from repro.catalog import (
     monthly_range_level,
 )
 from repro.errors import SegmentFailure
+from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.resilience import (
     ALWAYS,
     CHANNEL_CLOSE,
@@ -84,7 +85,7 @@ def test_demo_single_primary_failure_is_transparent(fdb, workers):
 
     assert result.rows == baseline
     data = result.metrics.to_dict()
-    assert data["schema_version"] == 9
+    assert data["schema_version"] == METRICS_SCHEMA_VERSION
     resilience = data["resilience"]
     assert resilience["failover_count"] >= 1
     assert resilience["retry_count"] >= 1

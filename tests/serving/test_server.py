@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.errors import ReproError, ServerOverloaded
+from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.serving import ServingConfig
 
 QUERY = "SELECT avg(amount) FROM orders"
@@ -117,7 +118,7 @@ def test_grants_degrade_when_the_tier_fills(fresh_db):
 def test_serving_metrics_section_schema_v6(fresh_db):
     session = fresh_db.session(name="observer")
     exported = session.sql(COUNT).metrics.to_dict()
-    assert exported["schema_version"] == 9
+    assert exported["schema_version"] == METRICS_SCHEMA_VERSION
     serving = exported["serving"]
     assert serving["session"] == "observer"
     assert serving["requested_workers"] >= 1

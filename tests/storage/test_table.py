@@ -104,9 +104,12 @@ def test_storage_manager_scan_leaf():
     manager.register(desc)
     manager.store(desc.oid).insert((1, 5))
     oid = desc.leaf_oid((0,))
+    owner = catalog.owner_of_leaf(oid)
+    assert owner is desc
     rows = []
     for segment in range(3):
-        rows.extend(manager.scan_leaf(segment, oid))
+        for batch in manager.scan_table_batches(segment, owner.oid, [oid]):
+            rows.extend(batch)
     assert rows == [(1, 5)]
 
 

@@ -241,3 +241,87 @@ def test_repo_baselines_match_committed_format():
     ):
         payload = json.loads((baselines / name).read_text())
         assert payload["planner_bytes"] and payload["orca_bytes"]
+
+
+def _load_tool():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("check_bench_regression", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_wall_clock_direction_comes_from_the_unit_suffix():
+    tool = _load_tool()
+    for name in ("seconds", "elapsed", "elapsed_seconds", "p50_s", "optimize_s"):
+        assert tool.direction(name) == "lower", name
+    for name in ("rows_per_second", "speedup", "speedup_vs_row", "qps"):
+        assert tool.direction(name) == "higher", name
+    # counters that merely contain "_s" are not wall clocks
+    for name in ("rows_scanned", "partitions_scanned", "batch_size", "segments"):
+        assert tool.direction(name) is None, name
+
+
+def test_worsening_is_measured_in_time_terms_both_ways():
+    tool = _load_tool()
+    assert tool.worsening_pct("lower", 1.0, 1.25) == 25.0
+    assert tool.worsening_pct("higher", 125.0, 100.0) == 25.0
+    assert tool.worsening_pct("higher", 100.0, 200.0) == -50.0
+    assert tool.worsening_pct("higher", 100.0, 0.0) == float("inf")
+
+
+#: a report-only file (no counter gate) carrying a throughput leaf next
+#: to a scan counter
+THROUGHPUT = {
+    "measurements": [
+        {
+            "workers": 1,
+            "rows_per_second": 475000.0,
+            "rows_scanned": 24000,
+        },
+    ],
+}
+
+
+def _throughput(rows_per_second: float, rows_scanned: int = 24000) -> dict:
+    payload = json.loads(json.dumps(THROUGHPUT))
+    payload["measurements"][0]["rows_per_second"] = rows_per_second
+    payload["measurements"][0]["rows_scanned"] = rows_scanned
+    return {"fig19_parallel_speedup.json": payload}
+
+
+def test_throughput_rise_does_not_warn(tmp_path):
+    _write_results(tmp_path / "baseline", **_throughput(475000.0))
+    _write_results(tmp_path / "current", **_throughput(780000.0))
+    proc = _run(tmp_path / "baseline", tmp_path / "current")
+    assert proc.returncode == 0, proc.stdout
+    assert "rows_per_second" not in proc.stdout
+
+
+def test_throughput_drop_warns_report_only(tmp_path):
+    _write_results(tmp_path / "baseline", **_throughput(780000.0))
+    _write_results(tmp_path / "current", **_throughput(475000.0))
+    proc = _run(tmp_path / "baseline", tmp_path / "current")
+    assert proc.returncode == 0, proc.stdout
+    assert "rows_per_second fell 39%" in proc.stdout
+    assert "higher is better" in proc.stdout
+    assert "report-only" in proc.stdout
+
+
+def test_scan_counters_are_not_wall_clocks(tmp_path):
+    """A leaf like ``rows_scanned`` never warns as a slowdown, and stays
+    out of the summary table unless its file gates it."""
+    _write_results(tmp_path / "baseline", **_throughput(475000.0, 24000))
+    _write_results(tmp_path / "current", **_throughput(475000.0, 96000))
+    summary_file = tmp_path / "summary.md"
+    proc = _run(
+        tmp_path / "baseline",
+        tmp_path / "current",
+        env={"GITHUB_STEP_SUMMARY": str(summary_file)},
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert "rows_scanned" not in proc.stdout
+    text = summary_file.read_text()
+    assert "rows_scanned" not in text
+    assert "report-only, higher is better" in text

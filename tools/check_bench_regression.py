@@ -12,10 +12,15 @@ Two classes of comparison, mirroring what the simulator can promise:
   counters (fig21) are fully deterministic — same code, same numbers.  Any difference from the baseline exits non-zero: either a
   genuine optimizer regression or an intentional change that must ship
   with refreshed baselines (``benchmarks/baselines/``).
-* **Wall clocks report only.**  Timings (fig17/fig19 ``*seconds*`` /
-  ``*elapsed*`` leaves) are noise on shared CI runners, so slowdowns past
-  the warn threshold (default 25%) print a ``WARN`` line but never fail
-  the gate.
+* **Wall clocks report only.**  Timings and throughputs are noise on
+  shared CI runners, so a worsening past the warn threshold (default 25%)
+  prints a ``WARN`` line but never fails the gate.  A leaf's unit suffix
+  says which way is better: ``seconds`` / ``*_seconds`` / ``*_s`` /
+  ``elapsed`` are lower-is-better, ``*_per_second`` / ``qps`` /
+  ``speedup*`` higher-is-better; any other numeric leaf (``rows_scanned``,
+  ``partitions_scanned``, ...) is not a wall clock.  The threshold is in
+  time terms both ways: a throughput that fell to 1/1.25 of its baseline
+  warns like a duration that rose 25%.
 
 A gated file missing from CURRENT_DIR fails (the benchmark stopped
 emitting its counters); one missing from BASELINE_DIR is only a warning
@@ -69,8 +74,29 @@ COUNTER_GATES: dict[str, list[str]] = {
     ],
 }
 
-#: substrings identifying wall-clock leaves (report-only)
-TIMING_MARKERS = ("seconds", "elapsed", "_s", "latency")
+
+
+def direction(name: str) -> str | None:
+    """``'lower'`` or ``'higher'`` (which way is better) for a wall-clock
+    leaf, by its unit suffix; ``None`` for a leaf that is not one."""
+    name = name.lower()
+    if name.endswith("_per_second") or name == "qps" or name.startswith(
+        "speedup"
+    ):
+        return "higher"
+    if name in ("seconds", "elapsed") or name.endswith(("_seconds", "_s")):
+        return "lower"
+    return None
+
+
+def worsening_pct(better: str, baseline: float, current: float) -> float:
+    """How much worse ``current`` is than ``baseline``, as the equivalent
+    wall-clock slowdown in percent (negative = improved)."""
+    if better == "lower":
+        return (current / baseline - 1.0) * 100
+    if current <= 0:
+        return float("inf")
+    return (baseline / current - 1.0) * 100
 
 
 def _load(path: pathlib.Path):
@@ -78,23 +104,13 @@ def _load(path: pathlib.Path):
         return json.load(handle)
 
 
-def _timing_leaves(payload, prefix: str = "") -> dict[str, float]:
-    """Flatten every numeric leaf whose key smells like a wall clock."""
-    leaves: dict[str, float] = {}
-    if isinstance(payload, dict):
-        items = payload.items()
-    elif isinstance(payload, list):
-        items = ((f"[{i}]", v) for i, v in enumerate(payload))
-    else:
-        return leaves
-    for key, value in items:
-        path = f"{prefix}.{key}" if prefix else str(key)
-        if isinstance(value, (dict, list)):
-            leaves.update(_timing_leaves(value, path))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            name = str(key).lower()
-            if any(marker in name for marker in TIMING_MARKERS):
-                leaves[path] = float(value)
+def _timing_leaves(payload, prefix: str = "") -> dict[str, tuple[str, float]]:
+    """Flatten every wall-clock leaf: dotted path -> (better, value)."""
+    leaves: dict[str, tuple[str, float]] = {}
+    for path, value in _numeric_leaves(payload, prefix).items():
+        better = direction(path.rsplit(".", 1)[-1])
+        if better is not None:
+            leaves[path] = (better, value)
     return leaves
 
 
@@ -134,11 +150,11 @@ def _summary_rows(
             if baseline_value is None:
                 continue
             top = leaf.split(".", 1)[0]
-            last = leaf.rsplit(".", 1)[-1].lower()
+            better = direction(leaf.rsplit(".", 1)[-1])
             if top in gated_keys:
                 kind = "gated"
-            elif any(marker in last for marker in TIMING_MARKERS):
-                kind = "report-only"
+            elif better is not None:
+                kind = f"report-only, {better} is better"
             else:
                 continue
             rows.append(
@@ -248,16 +264,18 @@ def compare(
             continue
         current_times = _timing_leaves(_load(current_path))
         baseline_times = _timing_leaves(_load(baseline_path))
-        for leaf, current_value in sorted(current_times.items()):
-            baseline_value = baseline_times.get(leaf)
-            if not baseline_value or baseline_value <= 0:
+        for leaf, (better, current_value) in sorted(current_times.items()):
+            baseline_value = baseline_times.get(leaf, (better, 0.0))[1]
+            if baseline_value <= 0:
                 continue
-            slowdown_pct = (current_value / baseline_value - 1.0) * 100
-            if slowdown_pct > warn_pct:
+            worse_pct = worsening_pct(better, baseline_value, current_value)
+            if worse_pct > warn_pct:
+                change = abs(current_value / baseline_value - 1.0) * 100
+                verb = "slowed" if better == "lower" else "fell"
                 warnings.append(
-                    f"{current_path.name}: {leaf} slowed "
-                    f"{slowdown_pct:.0f}% ({baseline_value:.4f} -> "
-                    f"{current_value:.4f}) [report-only]"
+                    f"{current_path.name}: {leaf} {verb} "
+                    f"{change:.0f}% ({baseline_value:.4f} -> "
+                    f"{current_value:.4f}, {better} is better) [report-only]"
                 )
 
     _write_step_summary(
@@ -289,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         "--warn-slowdown-pct",
         type=float,
         default=25.0,
-        help="report-only wall-clock slowdown threshold (default 25)",
+        help="report-only wall-clock worsening threshold (default 25)",
     )
     args = parser.parse_args(argv)
     if not args.baseline.is_dir():
